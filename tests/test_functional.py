@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import functional as F
+from repro.nn.compute import Workspace
 
 
 class TestConvOutputSize:
@@ -40,7 +43,132 @@ class TestIm2Col:
     def test_identity_kernel_window(self):
         x = np.random.default_rng(1).normal(size=(1, 2, 5, 5))
         cols, _, _ = F.im2col(x, 1, 1, 1, 0)
-        assert np.allclose(cols.reshape(1, 2, 25), x.reshape(1, 2, 25))
+        assert np.array_equal(cols.reshape(1, 2, 25), x.reshape(1, 2, 25))
+
+
+# ----------------------------------------------------------------------
+# differential properties: the kernels against strided-loop references
+# ----------------------------------------------------------------------
+def _im2col_ref(x, kh, kw, stride, pad):
+    """One strided slice copy per kernel offset ``(i, j)``."""
+    n, c, h, w = x.shape
+    oh = F.conv_output_size(h, kh, stride, pad)
+    ow = F.conv_output_size(w, kw, stride, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(n, c * kh * kw, oh * ow)
+
+
+def _col2im_ref(cols, x_shape, kh, kw, stride, pad):
+    """One strided scatter-add per kernel offset, in ascending ``(i, j)``
+    order, onto a zeroed padded image."""
+    n, c, h, w = x_shape
+    oh = F.conv_output_size(h, kh, stride, pad)
+    ow = F.conv_output_size(w, kw, stride, pad)
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
+    return xp[:, :, pad : pad + h, pad : pad + w]
+
+
+@st.composite
+def _conv_geometry(draw):
+    """Kernel 1-5, stride 1-3, pad 0..k-1, non-square inputs at least as
+    large as the padded kernel needs."""
+    kh = draw(st.integers(1, 5))
+    kw = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 3))
+    pad = draw(st.integers(0, min(kh, kw) - 1))
+    h = draw(st.integers(max(1, kh - 2 * pad), 9))
+    w = draw(st.integers(max(1, kw - 2 * pad), 9))
+    n = draw(st.integers(1, 3))
+    c = draw(st.integers(1, 3))
+    return (n, c, h, w), kh, kw, stride, pad
+
+
+def _values(rng, shape, dtype):
+    """Normals over 16 decades with exact and signed zeros mixed in, so
+    a changed summation order or a lost ``-0.0`` shows in the bytes."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    v[rng.random(shape) < 0.1] = 0.0
+    v[rng.random(shape) < 0.1] = -0.0
+    return v.astype(dtype)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestKernelsMatchLoopReferences:
+    """Byte equality, not closeness: the kernels must reproduce the loop
+    references bit for bit in both compute dtypes, pooled or not.  With a
+    workspace each kernel runs twice on different data, so a stale pooled
+    buffer would show in the second result."""
+
+    @given(
+        geom=_conv_geometry(),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from(["float64", "float32"]),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_im2col(self, geom, seed, dtype, pooled):
+        shape, kh, kw, stride, pad = geom
+        rng = np.random.default_rng(seed)
+        ws = Workspace() if pooled else None
+        for _ in range(2 if pooled else 1):
+            x = _values(rng, shape, dtype)
+            cols, oh, ow = F.im2col(x, kh, kw, stride, pad, ws)
+            assert _same_bits(cols, _im2col_ref(x, kh, kw, stride, pad))
+            assert cols.shape[2] == oh * ow
+
+    @given(
+        geom=_conv_geometry(),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from(["float64", "float32"]),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_col2im(self, geom, seed, dtype, pooled):
+        shape, kh, kw, stride, pad = geom
+        n, c, h, w = shape
+        oh = F.conv_output_size(h, kh, stride, pad)
+        ow = F.conv_output_size(w, kw, stride, pad)
+        rng = np.random.default_rng(seed)
+        ws = Workspace() if pooled else None
+        for _ in range(2 if pooled else 1):
+            cols = _values(rng, (n, c * kh * kw, oh * ow), dtype)
+            img = F.col2im(cols, shape, kh, kw, stride, pad, ws)
+            assert _same_bits(img, _col2im_ref(cols, shape, kh, kw, stride, pad))
+
+    @given(
+        geom=_conv_geometry(),
+        f=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from(["float64", "float32"]),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_conv2d_backward_dx(self, geom, f, seed, dtype, pooled):
+        shape, kh, kw, stride, pad = geom
+        n, c, _, _ = shape
+        rng = np.random.default_rng(seed)
+        ws = Workspace() if pooled else None
+        for _ in range(2 if pooled else 1):
+            x = _values(rng, shape, dtype)
+            weight = _values(rng, (f, c, kh, kw), dtype)
+            out, cols = F.conv2d_forward(x, weight, None, stride, pad, ws)
+            dout = _values(rng, out.shape, dtype)
+            dx, _, _ = F.conv2d_backward(
+                dout, cols, shape, weight, stride, pad, with_bias=False, ws=ws
+            )
+            dcols = np.matmul(weight.reshape(f, -1).T[None], dout.reshape(n, f, -1))
+            assert _same_bits(dx, _col2im_ref(dcols, shape, kh, kw, stride, pad))
 
 
 class TestConv2d:

@@ -23,6 +23,7 @@ Contracts pinned here:
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import tracemalloc
@@ -32,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import fedavg
-from repro.core import FedTransConfig
+from repro.core import FedTransConfig, FedTransStrategy
 from repro.core.aggregator import ModelAggregator, project_overlap
 from repro.core.client_manager import SimilarityCache
 from repro.data import SyntheticTaskConfig, build_federated_dataset
@@ -159,6 +160,86 @@ class TestGoldenBitIdentity:
             assert _digest(_golden_run("sync")) == golden["sync"]
         finally:
             set_workspace_pooling(True)
+
+
+# ----------------------------------------------------------------------
+# conv-substrate trajectory digests (im2col/col2im, BatchNorm, max-pool)
+# ----------------------------------------------------------------------
+def _substrate_digest(log, models) -> str:
+    """blake2b over the trajectory digest plus every final parameter's bytes.
+
+    Float reprs round-trip exactly through JSON, so any bit that moves in
+    a loss, accuracy or weight moves the hash.  Model and cell ids come
+    from process-global counters, so they are left out: the hash must not
+    depend on which tests ran before."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(json.dumps(_digest(log), sort_keys=True).encode())
+    for model in models.values():
+        for v in model.params().values():
+            h.update(repr(v.shape).encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+    return h.hexdigest()
+
+
+def _resnet_speech_run():
+    """Three rounds of the default-profile ``speech_like`` FedTrans ResNet:
+    the conv shapes of the ``resnet_kernels`` benchmark workload."""
+    from repro.bench import PROFILES
+    from repro.bench.workloads import (
+        build_dataset,
+        build_fleet,
+        coordinator_config,
+        fedtrans_config,
+        make_initial_model,
+    )
+
+    profile = PROFILES["default"]["speech_like"].with_(rounds=3)
+    ds = build_dataset(profile, 0)
+    init = make_initial_model(ds, profile, np.random.default_rng(0))
+    clients, max_capacity = build_fleet(ds, init.macs(), profile, 0)
+    strategy = FedTransStrategy(
+        init, fedtrans_config(profile), max_capacity_macs=max_capacity
+    )
+    log = Coordinator(strategy, clients, coordinator_config(profile, 0)).run()
+    return log, strategy.models()
+
+
+def _small_cnn_run(dtype):
+    """A max-pool stem plus two conv cells, FedAvg, at ``dtype``."""
+    set_compute_dtype(dtype)
+    ds = _conv_dataset(num_clients=6, seed=1)
+    model = small_cnn(ds.input_shape, ds.num_classes, np.random.default_rng(1), width=8)
+    strategy = fedavg(model)
+    cfg = CoordinatorConfig(
+        rounds=3,
+        clients_per_round=4,
+        trainer=LocalTrainerConfig(batch_size=8, local_steps=5, lr=0.1),
+        eval_every=3,
+        seed=0,
+        compute_dtype=dtype,
+    )
+    log = Coordinator(strategy, _clients(ds, num_slow=0), cfg).run()
+    return log, strategy.models()
+
+
+class TestSubstrateDigests:
+    """Short conv runs pinned bit for bit, so a kernel rewrite (im2col,
+    col2im, BatchNorm, pooling) that moves one bit of any loss, accuracy
+    or weight fails here rather than only in the benchmark's digests."""
+
+    def test_resnet_speech_default_profile(self):
+        digest = _substrate_digest(*_resnet_speech_run())
+        assert digest == "df460b9795e3ead71954a310aef07bef"
+
+    @pytest.mark.parametrize(
+        "dtype,expected",
+        [
+            ("float64", "600b0dfe5c07d667c63f2ebd24074ac4"),
+            ("float32", "68f900656a221bc2d3f27529cad71ee0"),
+        ],
+    )
+    def test_small_cnn(self, dtype, expected):
+        assert _substrate_digest(*_small_cnn_run(dtype)) == expected
 
 
 # ----------------------------------------------------------------------
