@@ -5,6 +5,16 @@ with vectorized NumPy idioms (no per-element Python loops on the hot path).
 The convolution kernels use the classic im2col/col2im lowering so the heavy
 lifting happens inside BLAS matmuls.
 
+The lowering itself is loop-free.  Every conv shape the substrate's models
+produce is tiny (``(10, 6, 4, 4)`` is typical), so a loop of strided slice
+copies per kernel offset spends its time on NumPy call overhead, not on
+arithmetic.  Instead, :func:`im2col` is one gather and :func:`col2im` one
+unbuffered scatter-add, each driven by a flat index plan that depends only
+on the conv geometry.  Plans are built once per shape, cached, and
+read-only, so every thread of a parallel backend can share them.  Both
+kernels are bit-identical to the strided-loop formulation (a gather is a
+copy; for the scatter-add see :func:`col2im`), in every compute dtype.
+
 Hot-path kernels take an optional :class:`~repro.nn.compute.Workspace`:
 when given, large intermediates (padded inputs, im2col columns, matmul
 outputs) land in pooled buffers reused across steps instead of fresh
@@ -15,6 +25,8 @@ results.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,10 +58,40 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
+@lru_cache(maxsize=128)
+def _window_plan(hp: int, wp: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Flat index into one padded ``hp x wp`` plane of every column entry,
+    in the columns' ``(i, j, oy, ox)`` order."""
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    rows = np.arange(kh)[:, None, None, None] + stride * np.arange(oh)[:, None]
+    cols = np.arange(kw)[:, None, None] + stride * np.arange(ow)
+    plan = (rows * wp + cols).reshape(-1)
+    plan.flags.writeable = False
+    return plan
+
+
+# A scatter plan has one index per column entry, as large as the columns
+# themselves, so fewer are kept than window plans.
+@lru_cache(maxsize=32)
+def _scatter_plan(
+    planes: int, hp: int, wp: int, kh: int, kw: int, stride: int
+) -> np.ndarray:
+    """Flat index into a stack of ``planes`` padded planes of every column
+    entry, in the columns' ``(plane, i, j, oy, ox)`` memory order."""
+    window = _window_plan(hp, wp, kh, kw, stride)
+    plan = (np.arange(planes)[:, None] * (hp * wp) + window).reshape(-1)
+    plan.flags.writeable = False
+    return plan
+
+
+# repro: hotpath
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ws: Workspace | None = None
 ) -> tuple[np.ndarray, int, int]:
     """Lower sliding convolution windows into columns.
+
+    One ``np.take`` of the padded input through the cached window plan.
 
     Parameters
     ----------
@@ -66,35 +108,32 @@ def im2col(
     oh, ow:
         Spatial output sizes.
     """
+    if ws is None:
+        ws = Workspace()
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
+    hp, wp = h + 2 * pad, w + 2 * pad
     if pad > 0:
-        if ws is None:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        else:
-            # The border is written only when the buffer is born (it is
-            # always zero); the interior is rewritten every call.
-            xp = ws.get(
-                "im2col_pad",
-                (n, c, h + 2 * pad, w + 2 * pad),
-                x.dtype,
-                zero_first=True,
-            )
-            xp[:, :, pad : pad + h, pad : pad + w] = x
-            x = xp
-    if ws is None:
-        cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    else:
-        cols = ws.get("im2col_cols", (n, c, kh, kw, oh, ow), x.dtype)
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            cols[:, :, i, j] = x[:, :, i:i_end:stride, j:j_end:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+        # The border is written only when the buffer is born (it is
+        # always zero); the interior is rewritten every call.
+        xp = ws.get("im2col_pad", (n, c, hp, wp), x.dtype, zero_first=True)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+        x = xp
+    cols = ws.get("im2col_cols", (n, c * kh * kw, oh * ow), x.dtype)
+    # mode="clip" (the plan is always in range) keeps np.take writing
+    # straight into ``out``; the default "raise" stages it in a temporary.
+    np.take(
+        x.reshape(n * c, hp * wp),
+        _window_plan(hp, wp, kh, kw, stride),
+        axis=1,
+        out=cols.reshape(n * c, kh * kw * oh * ow),
+        mode="clip",
+    )
+    return cols, oh, ow
 
 
+# repro: hotpath
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -104,22 +143,29 @@ def col2im(
     pad: int,
     ws: Workspace | None = None,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back into an image."""
-    n, c, h, w = x_shape
-    oh = conv_output_size(h, kh, stride, pad)
-    ow = conv_output_size(w, kw, stride, pad)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    """Adjoint of :func:`im2col`: scatter-add columns back into an image.
+
+    Not an inverse — a pixel covered by several windows receives the sum
+    of all their entries.  One ``np.add.at`` into a zeroed padded image,
+    through the cached scatter plan.  ``ufunc.at`` applies its updates in
+    index order and the plan lists the columns in their memory order
+    ``(n, c, i, j, oy, ox)``, so every pixel sums its window hits in
+    ascending kernel offset ``(i, j)``, starting from ``0.0``: the same
+    additions in the same order as one strided ``+=`` per offset, hence
+    bit-identical to it.
+    """
     if ws is None:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    else:
-        # Scatter-add target: must start from zero on every call.
-        xp = ws.get("col2im_xp", (n, c, h + 2 * pad, w + 2 * pad), cols.dtype)
-        xp[...] = 0.0
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            xp[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
+        ws = Workspace()
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    xp = ws.get("col2im_xp", (n, c, hp, wp), cols.dtype)
+    # Scatter-add target: must start from zero on every call.
+    xp.fill(0.0)
+    np.add.at(
+        xp.reshape(-1),
+        _scatter_plan(n * c, hp, wp, kh, kw, stride),
+        cols.reshape(-1),
+    )
     if pad > 0:
         return xp[:, :, pad : pad + h, pad : pad + w]
     return xp

@@ -171,6 +171,17 @@ class TestKernelsMatchLoopReferences:
             assert _same_bits(dx, _col2im_ref(dcols, shape, kh, kw, stride, pad))
 
 
+class TestIndexPlans:
+    def test_cached_plans_are_read_only(self):
+        """Plans are shared by every caller, threads included."""
+        plans = [F._window_plan(6, 7, 3, 3, 1), F._scatter_plan(4, 6, 7, 3, 3, 1)]
+        for plan in plans:
+            assert not plan.flags.writeable
+            with pytest.raises(ValueError):
+                plan[0] = 1
+        assert F._window_plan(6, 7, 3, 3, 1) is plans[0]
+
+
 class TestConv2d:
     def _naive_conv(self, x, w, b, stride, pad):
         n, c, h, ww = x.shape
