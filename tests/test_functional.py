@@ -1,5 +1,8 @@
 """Unit tests for the low-level array kernels."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,7 +61,9 @@ def _im2col_ref(x, kh, kw, stride, pad):
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            ys = slice(i, i + stride * oh, stride)
+            xs = slice(j, j + stride * ow, stride)
+            cols[:, :, i, j] = xp[:, :, ys, xs]
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
@@ -72,7 +77,9 @@ def _col2im_ref(cols, x_shape, kh, kw, stride, pad):
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
+            ys = slice(i, i + stride * oh, stride)
+            xs = slice(j, j + stride * ow, stride)
+            xp[:, :, ys, xs] += cols[:, :, i, j]
     return xp[:, :, pad : pad + h, pad : pad + w]
 
 
@@ -180,6 +187,43 @@ class TestIndexPlans:
             with pytest.raises(ValueError):
                 plan[0] = 1
         assert F._window_plan(6, 7, 3, 3, 1) is plans[0]
+
+    def test_threads_share_plans_under_eviction(self):
+        """More threads than cores, a tiny switch interval and more shapes
+        than the scatter-plan cache holds: plans are built, shared and
+        evicted concurrently, and every result still matches the loops."""
+        rng = np.random.default_rng(0)
+        cases = []
+        for n in range(1, 41):
+            x = _values(rng, (n, 2, 5, 4), "float64")
+            cols = _values(rng, (n, 2 * 9, 5 * 4), "float64")
+            want_cols = _im2col_ref(x, 3, 3, 1, 1)
+            want_img = _col2im_ref(cols, x.shape, 3, 3, 1, 1)
+            cases.append((x, cols, want_cols, want_img))
+        failures = []
+
+        def worker(order):
+            ws = Workspace()
+            for i in order:
+                x, cols, want_cols, want_img = cases[i]
+                if not _same_bits(F.im2col(x, 3, 3, 1, 1, ws)[0], want_cols):
+                    failures.append(("im2col", i))
+                if not _same_bits(F.col2im(cols, x.shape, 3, 3, 1, 1, ws), want_img):
+                    failures.append(("col2im", i))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            orders = [rng.permutation(2 * len(cases)) % len(cases) for _ in range(4)]
+            threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
 
 class TestConv2d:

@@ -8,6 +8,9 @@ Contracts pinned here:
   reproduce ``tests/data/golden_prerefactor_scheduling.json`` exactly,
   and disabling workspace pooling changes nothing (arithmetic
   transparency).
+* **Substrate digests** — short default-profile ResNet and ``small_cnn``
+  runs (conv, BatchNorm, max-pool) hash to pinned values, trajectory and
+  final weights, so a kernel rewrite must be bit-identical.
 * **Allocation regression** — pooled kernels cut steady-state per-step
   transient heap allocation by >= 5x on the conv workload (measured with
   tracemalloc, which tracks NumPy buffer churn).
@@ -33,6 +36,14 @@ import numpy as np
 import pytest
 
 from repro.baselines import fedavg
+from repro.bench import PROFILES
+from repro.bench.workloads import (
+    build_dataset,
+    build_fleet,
+    coordinator_config,
+    fedtrans_config,
+    make_initial_model,
+)
 from repro.core import FedTransConfig, FedTransStrategy
 from repro.core.aggregator import ModelAggregator, project_overlap
 from repro.core.client_manager import SimilarityCache
@@ -184,15 +195,6 @@ def _substrate_digest(log, models) -> str:
 def _resnet_speech_run():
     """Three rounds of the default-profile ``speech_like`` FedTrans ResNet:
     the conv shapes of the ``resnet_kernels`` benchmark workload."""
-    from repro.bench import PROFILES
-    from repro.bench.workloads import (
-        build_dataset,
-        build_fleet,
-        coordinator_config,
-        fedtrans_config,
-        make_initial_model,
-    )
-
     profile = PROFILES["default"]["speech_like"].with_(rounds=3)
     ds = build_dataset(profile, 0)
     init = make_initial_model(ds, profile, np.random.default_rng(0))
