@@ -9,6 +9,8 @@ inline implementation the subsystem replaced, and every backend x mode
 combination is checked against it.
 """
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -143,6 +145,91 @@ class TestGoldenBitIdentity:
             "async", buffer_k=3, selector="uniform", pacing="static", straggler="drop"
         )
         assert _digest(log) == golden["async"]
+
+
+def _stack_digest(log) -> str:
+    """blake2b over the trajectory digest, every round's scheduler record
+    and the run's scheduling totals.  Model ids come from process-global
+    counters and are left out, so the hash does not depend on test order."""
+    payload = {
+        "trajectory": _digest(log),
+        "scheduler": [dataclasses.asdict(r.scheduler) for r in log.rounds],
+        "arrivals": [
+            [
+                (a.client_id, a.dispatch_time, a.finish_time, a.dropped, a.downsized)
+                for a in r.arrivals
+            ]
+            for r in log.rounds
+        ],
+        "downsized_updates": log.downsized_updates,
+        "evicted_clients": log.evicted_clients,
+    }
+    h = hashlib.blake2b(digest_size=16)
+    h.update(json.dumps(payload, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _downsize_deadline(clients, models):
+    """Twice the slow clients' smallest-model estimate: the slow clients'
+    full model predicts late, a smaller one fits."""
+    smallest = min(models.values(), key=lambda m: m.macs())
+    return 2 * max(estimate_round_time(c, smallest, TRAINER) for c in clients[:2])
+
+
+class TestNonDefaultStackDigests:
+    """Two short non-default scheduling stacks pinned bit for bit.
+
+    These are the selection-stream gate for the fleet-backed policies
+    (CONTRACTS.md I12): oort selection, quantile pacing's per-class
+    windows, the downsize wave prescreen, utility-column eviction and the
+    class-aware availability mask.  A change that moves one pick, one
+    deadline or one loss fails here.
+    """
+
+    def test_async_oort_quantile_downsize_evict(self):
+        ds = _dataset(num_clients=12)
+        clients = _straggler_clients(ds)
+        model = mlp(ds.input_shape, ds.num_classes, np.random.default_rng(0), width=32)
+        strategy = HeteroFLStrategy(model)
+        deadline = _downsize_deadline(clients, strategy.models())
+        cfg = CoordinatorConfig(
+            rounds=10,
+            clients_per_round=6,
+            trainer=TRAINER,
+            eval_every=5,
+            seed=0,
+            mode="async",
+            buffer_k=3,
+            deadline_s=deadline,
+            selector="oort",
+            pacing="quantile",
+            straggler="downsize",
+            evict_after=2,
+        )
+        log = Coordinator(strategy, clients, cfg).run()
+        assert log.downsized_updates > 0
+        # At least one class deadline is an estimate, not the global one.
+        assert any(
+            d != deadline for r in log.rounds for d in r.scheduler.deadline_quantiles
+        )
+        assert log.evicted_clients > 0
+        assert _stack_digest(log) == "8b91e02dfd588a7e8801fd8711014c7b"
+
+    def test_sync_availability_diurnal(self):
+        clients, model = _golden_workload()
+        cfg = CoordinatorConfig(
+            rounds=8,
+            clients_per_round=6,
+            trainer=TRAINER,
+            eval_every=4,
+            seed=0,
+            selector="availability",
+            availability_trace="diurnal:base=0.5,amplitude=0.4,period=6",
+        )
+        log = Coordinator(fedavg(model), clients, cfg).run()
+        # The mask thins the pool: some round runs short of clients_per_round.
+        assert any(r.scheduler.selected < r.scheduler.requested for r in log.rounds)
+        assert _stack_digest(log) == "9c734532a49b08abf1aa317d082fb282"
 
 
 class TestSelectors:
