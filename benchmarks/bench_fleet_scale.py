@@ -14,8 +14,8 @@ RNG state before any speedup is scored:
   faster.
 * **availability**: legacy ids-from-objects + online list comprehension
   vs the view/``restrict`` path (same SplitMix64 mask either way).
-* **oort**: legacy dict-gather weight vector vs the columnar masked
-  gather.  Both paths share the identical p-weighted ``rng.choice``
+* **oort**: legacy dict-gather weight vector (a local reference below)
+  vs the columnar masked gather.  Both paths share the identical p-weighted ``rng.choice``
   (which dominates at 1M rows), so the aux gate
   ``FLEETSCALE_MIN_AUX_SPEEDUP`` (default 3) is deliberately lower than
   the headline.
@@ -147,7 +147,6 @@ def test_availability_tick_speedup(fleet, report):
     clients, store = fleet
     legacy_sel = AvailabilityAwareSelector(seed=SEED)
     col_sel = AvailabilityAwareSelector(seed=SEED)
-    col_sel.bind_fleet(store)
     round_idx = 11
 
     def legacy(rng):
@@ -188,18 +187,26 @@ def test_oort_tick_speedup(fleet, report):
     clients, store = fleet
     # 10k clients have observed utilities; everyone else enters optimistic.
     seen = np.random.default_rng(SEED).choice(REGISTERED, size=10_000, replace=False)
-    payload = {
-        "schema": OortSelector().schema,
-        "utility": {str(int(c)): 0.5 + (int(c) % 97) / 100.0 for c in seen},
-    }
-    legacy_sel = OortSelector()
-    legacy_sel.load_state_dict(payload)
+    utility = {int(c): 0.5 + (int(c) % 97) / 100.0 for c in seen}
     col_sel = OortSelector()
     col_sel.bind_fleet(store)
-    col_sel.load_state_dict(payload)
+    col_sel.load_state_dict(
+        {
+            "schema": col_sel.schema,
+            "utility": {str(c): u for c, u in utility.items()},
+        }
+    )
 
     def legacy(rng):
-        return legacy_sel.select(0, clients, ACTIVE, rng)
+        # The pre-columnar select(): ids array built from the objects, one
+        # dict lookup per registered client (unseen ones at the running
+        # max), then the identical p-weighted draw over the list.
+        ids = np.asarray([c.client_id for c in clients])
+        default = max(utility.values())
+        u = np.array([utility.get(int(cid), default) for cid in ids])
+        w = (1e-6 + np.maximum(u, 0.0)) ** col_sel.alpha
+        idx = rng.choice(len(clients), size=ACTIVE, replace=False, p=w / w.sum())
+        return [clients[i] for i in idx]
 
     def columnar(rng):
         return col_sel.select(0, store.view(), ACTIVE, rng)

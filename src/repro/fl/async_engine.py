@@ -226,7 +226,6 @@ class BufferedAsyncEngine(Stateful):
             base_k=self.buffer_k,
             deadline_s=config.deadline_s,
             max_k=self.concurrency,
-            clients=clients,
             fleet=self.fleet,
         )
         self.straggler = make_straggler(config.straggler)

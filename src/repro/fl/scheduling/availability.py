@@ -55,8 +55,8 @@ class AvailabilityModel:
     """Base: maps ``(round, device class)`` to an online rate in (0, 1].
 
     ``uses_classes`` tells the selector whether the model differentiates
-    device classes (a list-of-clients pool has no class column; such pools
-    are treated as class 0).
+    device classes (when it does not, the selector skips the class-column
+    gather).
     """
 
     uses_classes = False

@@ -12,9 +12,10 @@ of pure list churn before a single byte of training happens.
   vectorized selectors bit-identical to the old list path (CONTRACTS.md
   I1/I12): the same ``rng.choice`` call over the same candidate ordering
   picks the same clients.
-* capacity class (int16) — equal-occupancy compute-speed classes, the
-  exact ranking :class:`~repro.fl.scheduling.pacing.QuantilePacing` used
-  (sort by ``(compute_speed, client_id)``, cut into contiguous groups).
+* capacity class (int16) — equal-occupancy compute-speed classes (sort
+  by ``(compute_speed, client_id)``, cut into contiguous groups), the
+  classes :class:`~repro.fl.scheduling.pacing.QuantilePacing` estimates
+  per-class deadlines for.
 * last-seen round (int64) + Oort utility EMA (float64, with a validity
   mask) — the selector state that used to live in an unbounded dict.
 * device columns (compute speed, bandwidth, local train-set size) — the
@@ -337,8 +338,8 @@ class FleetStore(Stateful):
         self._row_of: dict[int, int] = {
             int(cid): i for i, cid in enumerate(self.ids)
         }
-        # Equal-occupancy compute-speed classes — the exact QuantilePacing
-        # ranking: sort by (speed, client_id), cut into contiguous groups.
+        # Equal-occupancy compute-speed classes: sort by (speed, client_id),
+        # cut into contiguous groups.
         self.num_classes = max(1, min(num_classes, n or 1))
         self.classes = np.zeros(n, dtype=np.int16)
         if n:
@@ -361,9 +362,6 @@ class FleetStore(Stateful):
     def __len__(self) -> int:
         return self.num_rows
 
-    def __contains__(self, client_id: int) -> bool:
-        return int(client_id) in self._row_of
-
     def row_of(self, client_id: int) -> int:
         return self._row_of[int(client_id)]
 
@@ -373,8 +371,7 @@ class FleetStore(Stateful):
         return np.fromiter((ro[int(c)] for c in ids), dtype=np.int64, count=len(ids))
 
     def class_of_id(self, client_id: int) -> int:
-        row = self._row_of.get(int(client_id))
-        return 0 if row is None else int(self.classes[row])
+        return int(self.classes[self._row_of[int(client_id)]])
 
     def clients_at(self, rows: np.ndarray) -> "list[FLClient]":
         if self._clients is None:
@@ -408,13 +405,6 @@ class FleetStore(Stateful):
                 count=len(self._in_flight_rows),
             )
         return FleetView(self, excluded=self._in_flight_sorted)
-
-    def active_view(self) -> FleetView:
-        """Online ∩ non-evicted rows: today membership is row membership
-        (removed rows are compacted away), so this is the available view;
-        per-round availability masking happens inside the selector, which
-        owns the seeded hash stream."""
-        return self.available_view()
 
     # ------------------------------------------------------------------
     # in-flight bookkeeping (async engine)
@@ -646,6 +636,20 @@ class FleetStore(Stateful):
     def load_state_dict(self, payload: dict) -> None:
         check_schema(payload, self.schema)
         ids = np.asarray(payload["ids"], dtype=np.int64)
+        columns = {
+            name: np.asarray(payload[name], dtype=dtype)
+            for name, dtype in (
+                ("last_seen", np.int64),
+                ("utility", np.float64),
+                ("has_utility", bool),
+            )
+        }
+        for name, col in columns.items():
+            if col.shape != ids.shape:
+                raise ValueError(
+                    f"fleet checkpoint field {name!r} has shape {col.shape}; "
+                    f"expected one entry per client id {ids.shape}"
+                )
         if ids.size != self.num_rows or not np.array_equal(ids, self.ids):
             # A checkpointed store may have removed rows the freshly
             # constructed one still carries: replay the membership by
@@ -662,9 +666,9 @@ class FleetStore(Stateful):
                 raise ValueError(
                     "fleet checkpoint row order does not match registration order"
                 )
-        self._last_seen = np.asarray(payload["last_seen"], dtype=np.int64).copy()
-        self._utility = np.asarray(payload["utility"], dtype=np.float64).copy()
-        self._has_utility = np.asarray(payload["has_utility"], dtype=bool).copy()
+        self._last_seen = columns["last_seen"].copy()
+        self._utility = columns["utility"].copy()
+        self._has_utility = columns["has_utility"].copy()
         self._round = int(payload["round"])
         self.evicted_total = int(payload["evicted_total"])
         self.stats.load_state_dict(payload["stats"])

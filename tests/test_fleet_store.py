@@ -3,8 +3,8 @@
 The contract under test is CONTRACTS.md I12: scheduler tick cost is
 O(active), and the default-stack selection stream is bit-identical to the
 object-per-client list path the columns replaced.  Every vectorized
-re-implementation here is pinned against its scalar/list reference —
-same RNG state, same picks, same floats.
+kernel here is pinned against a scalar/list reference that lives in this
+file — same RNG state, same picks, same floats.
 """
 
 import json
@@ -91,14 +91,11 @@ def test_available_view_matches_list_comprehension():
     assert len(view) == len(expected)
     assert list(store.ids[view.rows()]) == expected
     assert list(view.ids) == expected
-    # Selection streams are identical at the same RNG state.
-    picked_list = uniform_choice(
-        [c for c in clients if c.client_id not in in_flight],
-        6,
-        np.random.default_rng(9),
-    )
+    # Selection streams are identical at the same RNG state: the same
+    # rng.choice call indexes the list and the view alike.
+    idx = np.random.default_rng(9).choice(len(expected), size=6, replace=False)
     picked_view = uniform_choice(view, 6, np.random.default_rng(9))
-    assert [c.client_id for c in picked_list] == [c.client_id for c in picked_view]
+    assert [expected[i] for i in idx] == [c.client_id for c in picked_view]
 
 
 def test_view_shapes_and_restrict():
@@ -139,27 +136,38 @@ def test_round_time_stats_matches_deque_reference():
     assert reloaded.chronological() == stats.chronological()
 
 
+def _speed_classes(clients, num_classes):
+    """Reference equal-occupancy cut: rank by (speed, id), contiguous groups."""
+    order = sorted(clients, key=lambda c: (c.device.compute_speed, c.client_id))
+    return {
+        c.client_id: min(i * num_classes // len(order), num_classes - 1)
+        for i, c in enumerate(order)
+    }
+
+
 def test_quantile_pacing_fleet_shared_bit_identical():
+    """Deadlines from the fleet's shared windows equal a per-class deque
+    reference holding the same samples."""
     clients = _clients(12)
-    store = FleetStore(clients)
-    private = QuantilePacing(4, 30.0, 8, clients=clients, min_samples=2, window=6)
-    shared = QuantilePacing(
-        4, 30.0, 8, clients=clients, min_samples=2, window=256, fleet=store
-    )
-    assert shared._fleet is store  # geometry matched -> columns shared
-    # Class membership is the identical equal-occupancy cut either way.
-    for c in clients:
-        assert private.class_of(c.client_id) == store.class_of_id(c.client_id)
+    store = FleetStore(clients, rt_window=6)  # short: the windows wrap
+    pacing = QuantilePacing(4, 30.0, 8, store, min_samples=2)
+    class_of = _speed_classes(clients, 4)
+    for c in clients:  # the store's class column is the reference cut
+        assert store.class_of_id(c.client_id) == class_of[c.client_id]
+    windows = [deque(maxlen=6) for _ in range(4)]
+    reference = [30.0] * 4
     rng = np.random.default_rng(1)
-    reference = QuantilePacing(4, 30.0, 8, clients=clients, min_samples=2, window=256)
     for i in range(60):
         cid = int(rng.integers(12))
         dur = float(rng.uniform(1.0, 50.0))
-        shared.observe_arrival(cid, dur, float(i), False)
-        reference.observe_arrival(cid, dur, float(i), False)
-        for c in clients:  # deadlines bit-identical to the private-windows path
-            assert shared.deadline_for(c) == reference.deadline_for(c)
-    assert shared.state_dict() == reference.state_dict()
+        pacing.observe_arrival(cid, dur, float(i), False)
+        cls = class_of[cid]
+        windows[cls].append(dur)
+        if len(windows[cls]) >= 2:
+            reference[cls] = float(np.quantile(list(windows[cls]), 0.9)) * 1.5
+        for c in clients:
+            assert pacing.deadline_for(c) == reference[class_of[c.client_id]]
+    assert pacing.state_dict()["durations"] == [list(w) for w in windows]
 
 
 # ----------------------------------------------------------------------
@@ -171,26 +179,34 @@ def test_availability_mask_pool_order_invariant():
     perm = np.random.default_rng(0).permutation(200)
     mask = sel._online_mask(6, ids)
     assert np.array_equal(sel._online_mask(6, ids[perm]), mask[perm])
-    # And invariant to the container the pool arrived in: the bound/view
-    # path hashes the same id column, so per-client verdicts agree.
+    # And invariant to how the pool is cut: each client's verdict inside a
+    # view is the verdict for its id alone.
     clients = _clients(20)
     store = FleetStore(clients)
-    bound = AvailabilityAwareSelector(seed=3)
-    bound.bind_fleet(store)
-    for c in clients:
-        assert bound.is_online(6, c.client_id) == sel.is_online(6, c.client_id)
+    store.set_in_flight_ids({2, 11})
+    view = store.available_view()
+    for cid, online in zip(view.ids, sel._online_mask(6, view.ids)):
+        assert sel._online_mask(6, np.asarray([cid]))[0] == online
 
 
 def test_availability_view_and_list_paths_identical():
+    """The view selection equals the ids-mask list comprehension reference,
+    with and without a class-aware availability model."""
     clients = _clients(24)
     store = FleetStore(clients)
-    sel_list = AvailabilityAwareSelector(seed=5)
-    sel_view = AvailabilityAwareSelector(seed=5)
-    sel_view.bind_fleet(store)
-    for r in range(8):
-        a = sel_list.select(r, clients, 6, np.random.default_rng(100 + r))
-        b = sel_view.select(r, store.view(), 6, np.random.default_rng(100 + r))
-        assert [c.client_id for c in a] == [c.client_id for c in b]
+    ids = np.asarray([c.client_id for c in clients])
+    diurnal = parse_availability("diurnal:base=0.6,amplitude=0.4,period=5")
+    for model in (None, diurnal):
+        sel = AvailabilityAwareSelector(seed=5, model=model)
+        for r in range(8):
+            classes = None if model is None else store.classes
+            mask = sel._online_mask(r, ids, classes)
+            online = [c for c, m in zip(clients, mask) if m]
+            rng = np.random.default_rng(100 + r)
+            idx = rng.choice(len(online), size=min(6, len(online)), replace=False)
+            expected = [online[i].client_id for i in idx]
+            picked = sel.select(r, store.view(), 6, np.random.default_rng(100 + r))
+            assert [c.client_id for c in picked] == expected
 
 
 def test_offline_fallback_metered(tmp_path):
@@ -198,9 +214,7 @@ def test_offline_fallback_metered(tmp_path):
     # selection must fall back to the full pool (no deadlock) and meter it.
     model = TraceAvailability([1e-9])
     sel = AvailabilityAwareSelector(seed=0, model=model)
-    clients = _clients(12)
-    store = FleetStore(clients)
-    sel.bind_fleet(store)
+    store = FleetStore(_clients(12))
     picked = sel.select(0, store.view(), 4, np.random.default_rng(0))
     assert len(picked) == 4
     assert sel.offline_fallback_rounds == 1
@@ -263,24 +277,34 @@ class _FakeUpdate:
 
 
 def test_oort_bound_and_unbound_identical():
+    """The column-backed selector equals an unbound dict-EMA reference:
+    same utilities, same weights, same picks, same checkpoint payload."""
     clients = _clients(15)
     store = FleetStore(clients)
-    unbound = OortSelector()
-    bound = OortSelector()
-    bound.bind_fleet(store)
+    sel = OortSelector()
+    sel.bind_fleet(store)
+    utility: dict[int, float] = {}
     rng = np.random.default_rng(2)
     for r in range(12):
         ups = [
             _FakeUpdate(int(rng.integers(15)), float(rng.uniform(0.1, 3.0)))
             for _ in range(5)
         ]
-        unbound.observe_round(r, ups)
-        bound.observe_round(r, ups)
-        assert np.array_equal(unbound._weights(clients), bound._weights(store.view()))
-        a = unbound.select(r, clients, 4, np.random.default_rng(50 + r))
-        b = bound.select(r, store.view(), 4, np.random.default_rng(50 + r))
-        assert [c.client_id for c in a] == [c.client_id for c in b]
-    assert unbound.state_dict() == bound.state_dict()
+        sel.observe_round(r, ups)
+        for u in ups:
+            prev = utility.get(u.client_id)
+            utility[u.client_id] = (
+                u.train_loss if prev is None else 0.5 * prev + 0.5 * u.train_loss
+            )
+        default = max(utility.values())
+        u = np.array([utility.get(c.client_id, default) for c in clients])
+        w = (1e-6 + np.maximum(u, 0.0)) ** sel.alpha
+        w = w / w.sum()
+        assert np.array_equal(sel._weights(store.view()), w)
+        idx = np.random.default_rng(50 + r).choice(15, size=4, replace=False, p=w)
+        picked = sel.select(r, store.view(), 4, np.random.default_rng(50 + r))
+        assert [c.client_id for c in picked] == [clients[i].client_id for i in idx]
+    assert sel.state_dict()["utility"] == {str(c): v for c, v in utility.items()}
 
 
 def test_oort_state_bounded_under_churn():
@@ -352,9 +376,13 @@ def test_downsize_resolve_wave_matches_scalar_loop():
     vectorized = policy.resolve_wave(
         clients, dict(assignments), deadlines, models, TRAINER, compatible, fleet=store
     )
-    reference = policy.resolve_wave(
-        clients, dict(assignments), deadlines, models, TRAINER, compatible
-    )
+    reference = {
+        c.client_id: policy.resolve(
+            c, assignments[c.client_id], deadlines[c.client_id], models, TRAINER,
+            compatible,
+        )
+        for c in clients
+    }
     assert vectorized == reference
     assert any(downsized for _, downsized in vectorized.values())
 
@@ -403,6 +431,27 @@ def test_store_roundtrip_after_churn_preserves_selection_streams():
         assert [c.client_id for c in a] == [c.client_id for c in b], name
     with pytest.raises(ValueError, match="outside the constructed fleet"):
         FleetStore(clients[:4]).load_state_dict(payload)
+
+
+@pytest.mark.parametrize("field", ["last_seen", "utility", "has_utility"])
+def test_torn_fleet_checkpoint_rejected_at_load(field):
+    """A payload column cut short fails at load time, naming the field,
+    instead of an IndexError rounds later."""
+    store = FleetStore(_clients(10))
+    store.observe_utility(0, [1, 8], [1.0, 2.0], 0.5)
+    payload = store.state_dict()
+    payload[field] = payload[field][:7]
+    restored = FleetStore(_clients(10))
+    with pytest.raises(ValueError, match=field):
+        restored.load_state_dict(payload)
+
+
+def test_torn_quantile_pacing_checkpoint_rejected_at_load():
+    store = FleetStore(_clients(8))
+    payload = QuantilePacing(4, 30.0, 8, store).state_dict()
+    payload["deadline"] = []
+    with pytest.raises(ValueError, match="deadline"):
+        QuantilePacing(4, 30.0, 8, FleetStore(_clients(8))).load_state_dict(payload)
 
 
 def test_from_columns_store_is_object_free():

@@ -34,6 +34,7 @@ from repro.fl.scheduling import (
     ClientStateStore,
     DownsizePolicy,
     DropPolicy,
+    FleetStore,
     OortSelector,
     QuantilePacing,
     StaticPacing,
@@ -236,47 +237,58 @@ class TestSelectors:
     def _clients(self, n=20):
         return _straggler_clients(_dataset(num_clients=n), num_slow=0)
 
+    def _pool(self, n=20):
+        return FleetStore(self._clients(n)).view()
+
     def test_uniform_choice_raises_below_one(self, rng):
-        clients = self._clients(5)
-        for bad in (0, -3):
+        pool = self._pool(5)
+        for bad in (0, -2, -3):
             with pytest.raises(ValueError, match="must be >= 1"):
-                uniform_choice(clients, bad, rng)
+                uniform_choice(pool, bad, rng)
+        # An empty pool is rejected too, whatever the request.
+        with pytest.raises(ValueError, match="no registered clients"):
+            uniform_choice(FleetStore([]).view(), 3, rng)
 
     def test_uniform_choice_clamps_to_fleet(self, rng):
-        assert len(uniform_choice(self._clients(5), 50, rng)) == 5
+        assert len(uniform_choice(self._pool(5), 50, rng)) == 5
+        # Below the pool size: exactly num picks, without replacement.
+        ids = [c.client_id for c in uniform_choice(self._pool(20), 10, rng)]
+        assert len(set(ids)) == 10
 
     def test_uniform_selector_matches_uniform_choice(self):
-        clients = self._clients()
-        a = UniformSelector().select(0, clients, 8, np.random.default_rng(7))
-        b = uniform_choice(clients, 8, np.random.default_rng(7))
+        pool = self._pool()
+        a = UniformSelector().select(0, pool, 8, np.random.default_rng(7))
+        b = uniform_choice(pool, 8, np.random.default_rng(7))
         assert [c.client_id for c in a] == [c.client_id for c in b]
 
     def test_availability_mask_is_deterministic_and_subset_stable(self):
         sel = AvailabilityAwareSelector(seed=3, availability=0.5)
+        pool = self._pool()
+        mask = sel._online_mask(4, pool.ids)
+        assert np.array_equal(mask, sel._online_mask(4, pool.ids))
         # Same (round, client) decision regardless of who else is asked.
-        assert sel.is_online(4, 9) == sel.is_online(4, 9)
-        clients = self._clients()
-        chosen = sel.select(4, clients, 10, np.random.default_rng(0))
-        assert all(sel.is_online(4, c.client_id) for c in chosen)
+        for i, cid in enumerate(pool.ids):
+            assert sel._online_mask(4, np.asarray([cid]))[0] == mask[i]
+        chosen = sel.select(4, pool, 10, np.random.default_rng(0))
+        online = set(pool.ids[mask].tolist())
+        assert {c.client_id for c in chosen} <= online
         # A different round flips some coins.
-        masks = {
-            r: tuple(sel.is_online(r, c.client_id) for c in clients) for r in range(6)
-        }
+        masks = {r: tuple(sel._online_mask(r, pool.ids)) for r in range(6)}
         assert len(set(masks.values())) > 1
 
     def test_availability_selects_only_online_unless_all_offline(self):
         sel = AvailabilityAwareSelector(seed=0, availability=0.01)
-        clients = self._clients(4)
         rng = np.random.default_rng(0)
         # With everyone (almost surely) offline the fallback pool applies.
-        chosen = sel.select(0, clients, 2, rng)
+        chosen = sel.select(0, self._pool(4), 2, rng)
         assert len(chosen) == 2
 
     def test_oort_skews_toward_high_loss_clients(self):
         from repro.fl import ClientUpdate
 
+        store = FleetStore(self._clients(10))
         sel = OortSelector(alpha=2.0)
-        clients = self._clients(10)
+        sel.bind_fleet(store)
 
         def upd(cid, loss):
             return ClientUpdate(cid, "m", {}, {}, {}, loss, 1, 0.0, 0, 0, 0.0)
@@ -285,24 +297,27 @@ class TestSelectors:
         for r in range(5):
             sel.observe_round(r, [upd(0, 5.0)] + [upd(i, 0.01) for i in range(1, 10)])
         rng = np.random.default_rng(0)
-        picks = [c.client_id for _ in range(200) for c in sel.select(0, clients, 1, rng)]
+        picks = [
+            c.client_id for _ in range(200) for c in sel.select(0, store.view(), 1, rng)
+        ]
         frac0 = picks.count(0) / len(picks)
         assert frac0 > 0.5  # ~uniform would be 0.1
 
     def test_oort_unseen_clients_start_at_max_utility(self):
         from repro.fl import ClientUpdate
 
+        store = FleetStore(self._clients(2))  # client 1 never observed
         sel = OortSelector()
+        sel.bind_fleet(store)
         sel.observe_round(0, [ClientUpdate(0, "m", {}, {}, {}, 4.0, 1, 0.0, 0, 0, 0.0)])
-        clients = self._clients(2)  # client 1 never observed
-        w = sel._weights(clients)
+        w = sel._weights(store.view())
         assert w[1] == pytest.approx(w[0])  # optimistic initialization
 
     def test_registry_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown selector"):
             make_selector("round-robin")
         with pytest.raises(ValueError, match="unknown pacing"):
-            make_pacing("elastic", 2, None, 8)
+            make_pacing("elastic", 2, None, 8, FleetStore([]))
         with pytest.raises(ValueError, match="unknown straggler"):
             make_straggler("retry")
 
@@ -349,14 +364,15 @@ class TestPacing:
     def test_quantile_estimates_per_class_deadlines(self):
         ds = _dataset(num_clients=8)
         clients = _straggler_clients(ds, num_slow=4)  # two clear speed classes
+        store = FleetStore(clients, num_classes=2)
         p = QuantilePacing(
             base_k=2, deadline_s=None, max_k=8,
-            clients=clients, num_classes=2, q=0.5, slack=2.0, min_samples=4,
+            fleet=store, q=0.5, slack=2.0, min_samples=4,
         )
         slow = [c for c in clients if c.device.compute_speed == 1e7]
         fast = [c for c in clients if c.device.compute_speed == 1e9]
-        assert {p.class_of(c.client_id) for c in slow} == {0}
-        assert {p.class_of(c.client_id) for c in fast} == {1}
+        assert {store.class_of_id(c.client_id) for c in slow} == {0}
+        assert {store.class_of_id(c.client_id) for c in fast} == {1}
         # No deadline until a class has min_samples observations.
         assert p.deadline_for(slow[0]) is None
         for i in range(4):
@@ -365,6 +381,9 @@ class TestPacing:
         assert p.deadline_for(slow[0]) == pytest.approx(20.0)  # q50 * slack
         assert p.deadline_for(fast[0]) == pytest.approx(0.2)
         assert sorted(p.deadline_quantiles()) == pytest.approx([0.2, 20.0])
+        # The fleet's round-time window must hold min_samples durations.
+        with pytest.raises(ValueError, match="window"):
+            QuantilePacing(2, None, 8, FleetStore(clients, rt_window=3), min_samples=4)
 
 
 class TestStragglerPolicies:
