@@ -14,7 +14,9 @@ from repro.fl import (
     LocalTrainerConfig,
     iqr,
     summarize,
+    uniform_choice,
 )
+from repro.fl.scheduling import FleetStore
 from repro.nn import mlp
 
 
@@ -105,7 +107,32 @@ class TestLocalTrainer:
         assert u.train_loss > 0
 
 
+def _pool(ds):
+    return FleetStore(_clients(ds)).view()
+
+
 class TestSelection:
+    def test_without_replacement(self, rng):
+        ds = _dataset(num_clients=20)
+        chosen = uniform_choice(_pool(ds), 10, rng)
+        ids = [c.client_id for c in chosen]
+        assert len(set(ids)) == 10
+
+    def test_caps_at_population(self, rng):
+        ds = _dataset(num_clients=5)
+        assert len(uniform_choice(_pool(ds), 50, rng)) == 5
+
+    def test_empty_raises(self, rng):
+        with pytest.raises(ValueError):
+            uniform_choice(FleetStore([]).view(), 3, rng)
+
+    def test_below_one_raises(self, rng):
+        """Regression: num < 1 used to return an empty round silently."""
+        ds = _dataset(num_clients=5)
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                uniform_choice(_pool(ds), bad, rng)
+
     def test_deprecated_shim_removed(self):
         """The PR 4 select_uniform shim is gone; repro-lint RL007 bans the
         old module path from regrowing callers."""
